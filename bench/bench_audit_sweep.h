@@ -6,9 +6,8 @@
 // cell's repetitions are flattened into ONE dynamically dispatched task set
 // on the shared persistent pool, with per-cell calibration deferred onto
 // the workers and the trace store resolved once per sweep. Rows come back
-// in grid order and are bit-identical to the sequential per-cell path
-// (selectable via DPAUDIT_SWEEP_MODE=percell) for any thread count, cold or
-// warm cache.
+// in grid order and are bit-identical for any thread count, cold or warm
+// cache.
 
 #ifndef DPAUDIT_BENCH_BENCH_AUDIT_SWEEP_H_
 #define DPAUDIT_BENCH_BENCH_AUDIT_SWEEP_H_
@@ -44,12 +43,36 @@ inline std::vector<double> EpsilonGridFor(const Task& task) {
   return {0.12, 1.1, 2.2, 4.6};
 }
 
-/// --sweep-mode=percell / DPAUDIT_SWEEP_MODE=percell selects the sequential
-/// per-cell reference path (the pre-scheduler structure); anything else —
-/// including unset — selects the flattened scheduler. Both produce
-/// bit-identical rows.
-inline SweepMode SweepModeFromEnv() {
-  return CurrentRuntimeOptions().sweep_mode;
+/// Runs a bench binary's sweep grid with the options the runtime knobs
+/// select (core/runtime_options.h): the checkpoint journal that makes a
+/// killed sweep resumable, the retry budget and backoff before a failing
+/// cell degrades, and per-cell accounting under --verbose. `store` is the
+/// trace cache, resolved once per sweep rather than per cell; with it (or a
+/// journal) on, the sweep's cache and trial accounting is logged.
+inline std::vector<StatusOr<DiExperimentSummary>> RunBenchSweep(
+    const std::vector<SweepCell>& cells, TraceStore* store) {
+  const RuntimeOptions runtime = CurrentRuntimeOptions();
+  SweepOptions options;
+  options.trace_store = store;
+  options.checkpoint = runtime.checkpoint;
+  options.trial_retries = runtime.trial_retries;
+  options.retry_backoff_ms = runtime.retry_backoff_ms;
+  options.verbose = runtime.verbose;
+  SweepStats stats;
+  std::vector<StatusOr<DiExperimentSummary>> summaries =
+      RunSweep(cells, options, &stats);
+  if (store != nullptr || !options.checkpoint.empty()) {
+    DPAUDIT_LOG(INFO) << "sweep: " << stats.cells << " cells, trace full="
+                      << stats.trace_full_hits
+                      << " prefix=" << stats.trace_prefix_hits
+                      << " miss=" << stats.trace_misses << ", trials trained="
+                      << stats.trials_trained
+                      << " replayed=" << stats.trials_replayed
+                      << " resumed=" << stats.trials_resumed
+                      << " retried=" << stats.trials_retried
+                      << " failed=" << stats.trials_failed;
+  }
+  return summaries;
 }
 
 /// Runs the audit sweep for several tasks as ONE flattened grid (so the
@@ -61,8 +84,7 @@ inline SweepMode SweepModeFromEnv() {
 /// once per sweep, not per cell.
 inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
     const BenchParams& params, const std::vector<const Task*>& tasks,
-    size_t reps_override = 0, TraceStore* store = TraceStore::FromEnv(),
-    SweepMode mode = SweepModeFromEnv()) {
+    size_t reps_override = 0, TraceStore* store = TraceStore::FromEnv()) {
   DPAUDIT_SPAN("audit_sweep");
   struct CellLabel {
     size_t task_index;
@@ -105,35 +127,12 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
     }
   }
 
-  const RuntimeOptions& runtime = CurrentRuntimeOptions();
-  SweepOptions options;
-  options.mode = mode;
   // With DPAUDIT_TRACE_CACHE set, each grid cell trains once and every
   // later sweep (fig08/fig09 share cells; fig10 extends their recordings to
   // its larger repetition count) replays the recorded trials
   // bit-identically.
-  options.trace_store = store;
-  // Crash safety / failure isolation come straight from the runtime knobs
-  // (see core/runtime_options.h): the checkpoint journal makes a killed
-  // sweep resumable, and failed trials are retried before a cell degrades.
-  options.checkpoint = runtime.checkpoint;
-  options.trial_retries = runtime.trial_retries;
-  options.retry_backoff_ms = runtime.retry_backoff_ms;
-  options.verbose = runtime.verbose;
-  SweepStats stats;
   std::vector<StatusOr<DiExperimentSummary>> summaries =
-      RunSweep(cells, options, &stats);
-  if (store != nullptr || !options.checkpoint.empty()) {
-    DPAUDIT_LOG(INFO) << "sweep: " << stats.cells << " cells, trace full="
-                      << stats.trace_full_hits
-                      << " prefix=" << stats.trace_prefix_hits
-                      << " miss=" << stats.trace_misses << ", trials trained="
-                      << stats.trials_trained
-                      << " replayed=" << stats.trials_replayed
-                      << " resumed=" << stats.trials_resumed
-                      << " retried=" << stats.trials_retried
-                      << " failed=" << stats.trials_failed;
-  }
+      RunBenchSweep(cells, store);
 
   std::vector<std::vector<AuditSweepRow>> rows_per_task(tasks.size());
   for (size_t i = 0; i < summaries.size(); ++i) {
@@ -160,10 +159,9 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
 /// Single-task convenience wrapper (tests, callers with one task).
 inline std::vector<AuditSweepRow> RunAuditSweep(
     const BenchParams& params, const Task& task, size_t reps_override = 0,
-    TraceStore* store = TraceStore::FromEnv(),
-    SweepMode mode = SweepModeFromEnv()) {
+    TraceStore* store = TraceStore::FromEnv()) {
   return std::move(
-      RunAuditSweeps(params, {&task}, reps_override, store, mode).front());
+      RunAuditSweeps(params, {&task}, reps_override, store).front());
 }
 
 }  // namespace bench

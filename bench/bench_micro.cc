@@ -52,8 +52,7 @@ BENCHMARK(BM_GaussianLogDensity)->Arg(1024)->Arg(65536);
 // The two gradient dimensionalities the paper's experiments release at:
 // the MNIST CNN-ish network and the Purchase-100 MLP. Applied to the
 // mechanism/adversary hot-path benchmarks below so their numbers speak
-// directly to fig06-fig10 wall-clock. scripts/run_experiment_bench.sh
-// snapshots these into BENCH_experiment_suite.json.
+// directly to fig06-fig10 wall-clock.
 void GradientDims(benchmark::internal::Benchmark* bench) {
   static const size_t kMnistParams = BuildMnistNetwork().NumParams();
   static const size_t kPurchaseParams = BuildPurchaseNetwork().NumParams();
@@ -188,8 +187,7 @@ BENCHMARK(BM_PurchasePerExampleGradient);
 // Clipped-gradient-sum throughput through the gradient engine. Args are
 // {batch size, engine worker threads}. items_processed counts examples, so
 // per-example cost is directly comparable across batch sizes and thread
-// counts. scripts/run_gradient_bench.sh snapshots these into
-// BENCH_gradient_engine.json.
+// counts.
 void BM_ClippedGradientSumMnist(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Network net = BuildMnistNetwork();
@@ -218,8 +216,7 @@ BENCHMARK(BM_ClippedGradientSumMnist)
 // Batched lane path vs the scalar path on the same workload. Args are
 // {batch size, engine worker threads, batch lanes} with lanes = 0 selecting
 // the legacy one-example-at-a-time path; results are bit-identical, only
-// throughput differs. scripts/run_experiment_bench.sh snapshots the
-// single-thread b64 pair into BENCH_batched_lanes.json.
+// throughput differs.
 void BM_ClippedGradientSumMnistLanes(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Network net = BuildMnistNetwork();

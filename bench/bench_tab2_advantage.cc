@@ -70,10 +70,7 @@ void Run() {
       cells.push_back(std::move(cell));
     }
   }
-  SweepOptions options;
-  options.mode = bench::SweepModeFromEnv();
-  options.trace_store = TraceStore::FromEnv();
-  auto summaries = RunSweep(cells, options);
+  auto summaries = bench::RunBenchSweep(cells, TraceStore::FromEnv());
 
   TableWriter table({"Delta f", "DP", "dataset", "rho_alpha target",
                      "Adv^DI,Gau", "Adv 95% lo", "Adv 95% hi",

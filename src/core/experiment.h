@@ -93,12 +93,22 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
                   size_t rep, DiTrialResult* trial, TrialTrace* record,
                   const Dataset* test_set = nullptr);
 
-/// Runs the repeated experiment. `test_set`, when non-null, is evaluated on
-/// every trial's final model (Figure 7). Trials are deterministic given
-/// `config.seed` regardless of thread count. With a trace store configured,
-/// a cached recording with at least config.repetitions trials replays
-/// bit-identically; a shorter recording replays as a prefix and only the
-/// missing repetitions train live (the extended trace is saved back).
+/// Runs the repeated experiment as a one-cell RunSweep
+/// (core/sweep_scheduler.h) on config.threads threads. `test_set`, when
+/// non-null, is evaluated on every trial's final model (Figure 7). Trials are
+/// deterministic given `config.seed` regardless of thread count. With a trace
+/// store configured, a cached recording with at least config.repetitions
+/// trials replays bit-identically; a shorter recording replays as a prefix
+/// and only the missing repetitions train live (the extended trace is saved
+/// back).
+///
+/// Failures follow the sweep's isolation rules. A failed trial is retried
+/// (SweepOptions defaults); when every repetition fails, the first failure
+/// is returned. Some repetitions failing while others succeed returns a
+/// degraded summary of the survivors; only a thrown exception or an injected
+/// fault can do that, since a trial's Status depends on the config, not on
+/// the repetition. Fault-injection `trial=c:r:n` specs
+/// (util/fault_injection.h) address this experiment as cell 0.
 StatusOr<DiExperimentSummary> RunDiExperiment(const Network& architecture,
                                               const Dataset& d,
                                               const Dataset& d_prime,

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "core/ledger_bridge.h"
+#include "core/runtime_options.h"
 #include "core/sweep_journal.h"
 #include "core/trace.h"
 #include "obs/metrics.h"
@@ -91,9 +92,7 @@ class ProgressMonitor {
     thread_.join();
   }
 
-  void TrialDone(size_t n = 1) {
-    trials_done_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void TrialDone() { trials_done_.fetch_add(1, std::memory_order_relaxed); }
   void CellDone() { cells_done_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
@@ -171,7 +170,7 @@ void ResumeFromJournal(SweepJournal* journal, size_t reps, CellRun* run) {
 // prefix replay, checkpoint-journal resume. Runs inside the trial task set,
 // so a later cell's (often expensive) calibration overlaps earlier cells'
 // training instead of serializing the sweep.
-void PrepareCell(size_t inner_threads, bool ledger, SweepJournal* journal,
+void PrepareCell(size_t trial_threads, bool ledger, SweepJournal* journal,
                  CellRun* run) {
   DPAUDIT_SPAN("sweep_cell_prep");
   const SweepCell& cell = *run->cell;
@@ -194,10 +193,7 @@ void PrepareCell(size_t inner_threads, bool ledger, SweepJournal* journal,
     return;
   }
   if (run->config.dpsgd.threads == 0) {
-    // The flattened grid saturates the pool with trials, so each trial's
-    // gradient engine gets a nested budget of threads/threads = 1.
-    run->config.dpsgd.threads = NestedThreadBudget(inner_threads,
-                                                   inner_threads);
+    run->config.dpsgd.threads = trial_threads;  // an explicit value wins
   }
 
   const size_t reps = run->config.repetitions;
@@ -284,45 +280,6 @@ TraceStore* EffectiveStore(const SweepOptions& options,
                                         : cell.config.trace_store;
 }
 
-std::vector<StatusOr<DiExperimentSummary>> RunSweepPerCell(
-    const std::vector<SweepCell>& cells, const SweepOptions& options,
-    size_t threads, SweepStats* stats, ProgressMonitor* monitor) {
-  std::vector<StatusOr<DiExperimentSummary>> results;
-  results.reserve(cells.size());
-  for (const SweepCell& cell : cells) {
-    DiExperimentConfig config = cell.config;
-    if (cell.configure) {
-      Status st = cell.configure(&config);
-      if (!st.ok()) {
-        results.emplace_back(st);
-        monitor->CellDone();
-        continue;
-      }
-    }
-    config.trace_store = EffectiveStore(options, cell);
-    config.threads = threads;
-    const TraceCacheCounters before = GetTraceCacheCounters();
-    results.push_back(RunDiExperiment(*cell.architecture, *cell.d,
-                                      *cell.d_prime, config, cell.test_set));
-    monitor->TrialDone(config.repetitions);
-    monitor->CellDone();
-    if (stats != nullptr && results.back().ok()) {
-      const TraceCacheCounters after = GetTraceCacheCounters();
-      const bool hit = after.hits > before.hits;
-      if (config.trace_store != nullptr) {
-        if (hit) {
-          ++stats->trace_full_hits;  // full or prefix; per-cell path cannot
-                                     // tell without re-probing — close enough
-                                     // for the reference mode
-        } else {
-          ++stats->trace_misses;
-        }
-      }
-    }
-  }
-  return results;
-}
-
 }  // namespace
 
 std::vector<StatusOr<DiExperimentSummary>> RunSweep(
@@ -334,24 +291,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
   SweepStats local;
   local.cells = cells.size();
   const bool ledger = LedgerEnabled();
-  size_t total_trials = 0;
-  for (const SweepCell& cell : cells) {
-    total_trials += cell.config.repetitions;
-  }
-  ProgressMonitor monitor(cells.size(), total_trials);
-
-  if (options.mode == SweepMode::kPerCell) {
-    if (!options.checkpoint.empty()) {
-      DPAUDIT_LOG(WARNING)
-          << "sweep checkpoint requires the flattened scheduler; percell "
-          << "mode runs without crash-safety";
-    }
-    auto results = RunSweepPerCell(cells, options, threads, &local,
-                                   &monitor);
-    CountSweepMetrics(local);
-    if (stats != nullptr) *stats = local;
-    return results;
-  }
 
   // Checkpoint journal: loaded up front so PrepareCell can skip trials a
   // previous (crashed) run of this sweep already trained. Best-effort — a
@@ -384,6 +323,12 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     offset[i + 1] = offset[i] + cells[i].config.repetitions;
   }
   const size_t total = offset.back();
+  ProgressMonitor monitor(cells.size(), total);
+  // Each trial's gradient engine gets the threads the grid leaves over:
+  // threads / min(threads, trials), so 1 whenever the grid alone can fill
+  // the pool, and more when a short single experiment cannot.
+  const size_t trial_threads =
+      NestedThreadBudget(threads, std::min(threads, total));
   const size_t retries = options.trial_retries;
   const uint64_t backoff_base_ms = options.retry_backoff_ms;
 
@@ -396,7 +341,7 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     const size_t rep = flat - offset[c];
     CellRun& run = runs[c];
     std::call_once(run.once, [&] {
-      PrepareCell(threads, ledger, journal.get(), &run);
+      PrepareCell(trial_threads, ledger, journal.get(), &run);
     });
     const size_t cell_reps = offset[c + 1] - offset[c];
     const bool resumed =

@@ -103,11 +103,22 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
   return out;
 }
 
+namespace {
+
+template <typename Metric>
+void RetireAll(std::map<std::string, std::unique_ptr<Metric>>* live,
+               std::vector<std::unique_ptr<Metric>>* retired) {
+  for (auto& [name, metric] : *live) retired->push_back(std::move(metric));
+  live->clear();
+}
+
+}  // namespace
+
 void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  distributions_.clear();
+  RetireAll(&counters_, &retired_counters_);
+  RetireAll(&gauges_, &retired_gauges_);
+  RetireAll(&distributions_, &retired_distributions_);
 }
 
 }  // namespace obs

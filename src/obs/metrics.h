@@ -134,7 +134,11 @@ class MetricsRegistry {
   /// distributions).
   std::vector<MetricSnapshot> Snapshot() const;
 
-  /// Drops every registered metric. Only for tests — invalidates references.
+  /// Unregisters every metric, so the next Snapshot() is empty. Only for
+  /// tests. The metric objects themselves are retired, not freed: call sites
+  /// cache references in function-local statics (the DPAUDIT_METRIC_* macros,
+  /// the thread-pool hooks), and a pool task scheduled before the reset may
+  /// still record after it. Those late writes land in the retired objects.
   void ResetForTest();
 
  private:
@@ -144,6 +148,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<DistributionMetric>> distributions_;
+  // Metrics unregistered by ResetForTest, kept alive for stale references.
+  std::vector<std::unique_ptr<Counter>> retired_counters_;
+  std::vector<std::unique_ptr<Gauge>> retired_gauges_;
+  std::vector<std::unique_ptr<DistributionMetric>> retired_distributions_;
 };
 
 }  // namespace obs

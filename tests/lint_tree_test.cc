@@ -3,6 +3,8 @@
 // fingerprint cache, the --fix rewriter's idempotency, the SARIF report
 // shape, the layers.txt parser, and the pass-1 lexer underneath it all.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -107,7 +109,14 @@ TEST(TreeFixture, NoGraphRunsOnlyPerFileRules) {
 class CacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scratch_ = fs::temp_directory_path() / "dpaudit_lint_cache_test";
+    // One directory per case and process: ctest runs each discovered case
+    // as its own process, and under -j a shared directory let one case's
+    // TearDown delete the tree another case was still linting.
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    scratch_ = fs::temp_directory_path() /
+               ("dpaudit_lint_cache_test_" + std::string(info->name()) + "_" +
+                std::to_string(::getpid()));
     fs::remove_all(scratch_);
     fs::create_directories(scratch_);
     fs::copy(FixtureTreeRoot(), scratch_ / "tree",

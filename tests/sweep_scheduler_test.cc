@@ -1,7 +1,7 @@
 // Determinism and cache tests for the flattened sweep scheduler: the
-// flattened (cell x repetition) dispatch must produce bit-identical
-// AuditSweepRow vectors vs the sequential per-cell reference path, for any
-// DPAUDIT_THREADS, cold and warm trace cache.
+// flattened (cell x repetition) dispatch must produce AuditSweepRow vectors
+// bit-identical to running every (cell, rep) trial one after another, for
+// any DPAUDIT_THREADS, cold and warm trace cache.
 
 #include "core/sweep_scheduler.h"
 
@@ -67,13 +67,48 @@ void ExpectRowsBitIdentical(const std::vector<bench::AuditSweepRow>& expected,
   }
 }
 
+/// The reference the scheduler must reproduce: the audit sweep's grid with
+/// each (cell, rep) trial run in order through RunDiTrial on this thread,
+/// with no scheduler, cache, journal or retry in between.
+std::vector<bench::AuditSweepRow> SequentialRows(
+    const bench::BenchParams& params, const bench::Task& task, size_t reps) {
+  std::vector<bench::AuditSweepRow> rows;
+  for (double epsilon : bench::EpsilonGridFor(task)) {
+    for (SensitivityMode mode :
+         {SensitivityMode::kLocalHat, SensitivityMode::kGlobal}) {
+      DiExperimentConfig config = bench::MakeScenarioConfig(
+          params, task, epsilon, mode, NeighborMode::kBounded);
+      config.repetitions = reps;
+      config.dpsgd.threads = 1;
+      DiExperimentSummary summary;
+      summary.trials.resize(reps);
+      for (size_t rep = 0; rep < reps; ++rep) {
+        Status trial = RunDiTrial(task.architecture, task.d,
+                                  task.d_prime_bounded, config, rep,
+                                  &summary.trials[rep], /*record=*/nullptr);
+        EXPECT_TRUE(trial.ok()) << trial;
+      }
+      StatusOr<AuditReport> report = AuditExperiment(summary, task.delta);
+      EXPECT_TRUE(report.ok()) << report.status();
+      bench::AuditSweepRow row{task.name, epsilon,
+                               SensitivityModeToString(mode), *report};
+      row.advantage = summary.EmpiricalAdvantage();
+      row.repetitions = reps;
+      for (const DiTrialResult& trial : summary.trials) {
+        if (trial.Success()) ++row.wins;
+      }
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
 class SweepSchedulerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // TraceStore::FromEnv() latches on first use; every test here passes
-    // explicit stores, and the mode comes in explicitly too.
+    // explicit stores.
     unsetenv("DPAUDIT_TRACE_CACHE");
-    unsetenv("DPAUDIT_SWEEP_MODE");
   }
   void TearDown() override { unsetenv("DPAUDIT_THREADS"); }
 };
@@ -82,11 +117,8 @@ TEST_F(SweepSchedulerTest, FlattenedMatchesSequentialAcrossThreadsAndCache) {
   bench::BenchParams params = TinyParams();
   bench::Task task = bench::MakeMnistTask(params);
 
-  // Reference: the sequential per-cell path, single-threaded, no cache.
-  setenv("DPAUDIT_THREADS", "1", 1);
-  std::vector<bench::AuditSweepRow> reference = bench::RunAuditSweep(
-      params, task, /*reps_override=*/4, /*store=*/nullptr,
-      SweepMode::kPerCell);
+  std::vector<bench::AuditSweepRow> reference =
+      SequentialRows(params, task, /*reps=*/4);
   ASSERT_EQ(reference.size(), 8u);  // 4 epsilons x {LS, GS}
 
   for (const char* threads : {"1", "4", "13"}) {
@@ -97,18 +129,13 @@ TEST_F(SweepSchedulerTest, FlattenedMatchesSequentialAcrossThreadsAndCache) {
 
     // Cold cache: every cell trains through the flattened grid.
     std::vector<bench::AuditSweepRow> cold = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store, SweepMode::kFlattened);
+        params, task, /*reps_override=*/4, &store);
     ExpectRowsBitIdentical(reference, cold);
 
     // Warm cache: every cell replays.
     std::vector<bench::AuditSweepRow> warm = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store, SweepMode::kFlattened);
+        params, task, /*reps_override=*/4, &store);
     ExpectRowsBitIdentical(reference, warm);
-
-    // The sequential path reads the scheduler's recordings compatibly.
-    std::vector<bench::AuditSweepRow> percell = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store, SweepMode::kPerCell);
-    ExpectRowsBitIdentical(reference, percell);
   }
 }
 
@@ -121,16 +148,10 @@ TEST_F(SweepSchedulerTest, FlattenedSweepExtendsCachedPrefixes) {
 
   // Record 3 repetitions per cell, then ask for 6: the cached prefixes
   // replay and only the tails train (prefix-extensible traces).
-  bench::RunAuditSweep(params, task, /*reps_override=*/3, &store,
-                       SweepMode::kFlattened);
-  std::vector<bench::AuditSweepRow> extended = bench::RunAuditSweep(
-      params, task, /*reps_override=*/6, &store, SweepMode::kFlattened);
-
-  setenv("DPAUDIT_THREADS", "1", 1);
-  std::vector<bench::AuditSweepRow> reference = bench::RunAuditSweep(
-      params, task, /*reps_override=*/6, /*store=*/nullptr,
-      SweepMode::kPerCell);
-  ExpectRowsBitIdentical(reference, extended);
+  bench::RunAuditSweep(params, task, /*reps_override=*/3, &store);
+  std::vector<bench::AuditSweepRow> extended =
+      bench::RunAuditSweep(params, task, /*reps_override=*/6, &store);
+  ExpectRowsBitIdentical(SequentialRows(params, task, /*reps=*/6), extended);
 }
 
 TEST_F(SweepSchedulerTest, ReportsCacheOutcomesInStats) {

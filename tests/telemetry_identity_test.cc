@@ -5,6 +5,7 @@
 // produce EXACTLY the same trials with telemetry on and off.
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -103,13 +104,16 @@ TEST_F(TelemetryIdentityTest, InstrumentedRunPopulatesTheProfileTree) {
     }
     return false;
   };
+  // RunDiExperiment is a one-cell sweep: trials nest under the scheduler.
+  const std::string trials = "di_experiment/sweep_schedule/repetition";
   EXPECT_TRUE(has("di_experiment"));
-  EXPECT_TRUE(has("di_experiment/repetition"));
-  EXPECT_TRUE(has("di_experiment/repetition/train_step"));
-  EXPECT_TRUE(
-      has("di_experiment/repetition/train_step/per_example_gradients"));
-  EXPECT_TRUE(has("di_experiment/repetition/train_step/mechanism_perturb"));
-  EXPECT_TRUE(has("di_experiment/repetition/train_step/adversary"));
+  EXPECT_TRUE(has("di_experiment/sweep_schedule"));
+  EXPECT_TRUE(has("di_experiment/sweep_schedule/sweep_cell_prep"));
+  EXPECT_TRUE(has(trials));
+  EXPECT_TRUE(has(trials + "/train_step"));
+  EXPECT_TRUE(has(trials + "/train_step/per_example_gradients"));
+  EXPECT_TRUE(has(trials + "/train_step/mechanism_perturb"));
+  EXPECT_TRUE(has(trials + "/train_step/adversary"));
 
   // The pipeline counters moved too.
   bool saw_steps = false;
