@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "nn/gradient_engine.h"
@@ -111,11 +113,21 @@ TEST(AnalyzeNeighborOverlapTest, UnboundedRejectsUnrelatedRemainder) {
       AnalyzeNeighborOverlap(d, d_prime, NeighborMode::kUnbounded).sharable);
 }
 
+// GoogleTest names each case from the raw bytes of its SharingCase, so the
+// struct has no compiler padding: `filler` occupies those bytes with fixed
+// values. Left to the compiler they held stack garbage and the case names
+// changed from one test listing to the next; the values below keep the names
+// the cases were first registered under.
 struct SharingCase {
   NeighborMode mode;
   bool per_layer;
+  uint8_t filler[3];
   size_t diff_index;
 };
+static_assert(sizeof(SharingCase) == 16 &&
+                  offsetof(SharingCase, diff_index) == 8 &&
+                  sizeof(NeighborMode) == 4,
+              "SharingCase must have no padding bytes");
 
 class NeighborSharingTest : public ::testing::TestWithParam<SharingCase> {};
 
@@ -183,14 +195,15 @@ TEST_P(NeighborSharingTest, SharedPathMatchesTwoPassBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, NeighborSharingTest,
-    ::testing::Values(SharingCase{NeighborMode::kBounded, false, 0},
-                      SharingCase{NeighborMode::kBounded, false, 5},
-                      SharingCase{NeighborMode::kBounded, false, 11},
-                      SharingCase{NeighborMode::kBounded, true, 5},
-                      SharingCase{NeighborMode::kUnbounded, false, 0},
-                      SharingCase{NeighborMode::kUnbounded, false, 6},
-                      SharingCase{NeighborMode::kUnbounded, false, 11},
-                      SharingCase{NeighborMode::kUnbounded, true, 6}));
+    ::testing::Values(
+        SharingCase{NeighborMode::kBounded, false, {0x3B, 0x2C, 0x00}, 0},
+        SharingCase{NeighborMode::kBounded, false, {0x00, 0xD0, 0xEF}, 5},
+        SharingCase{NeighborMode::kBounded, false, {0x00, 0x00, 0x00}, 11},
+        SharingCase{NeighborMode::kBounded, true, {0x00, 0x00, 0x00}, 5},
+        SharingCase{NeighborMode::kUnbounded, false, {0x1E, 0x09, 0x00}, 0},
+        SharingCase{NeighborMode::kUnbounded, false, {0x00, 0xD0, 0xCA}, 6},
+        SharingCase{NeighborMode::kUnbounded, false, {0x00, 0x00, 0x00}, 11},
+        SharingCase{NeighborMode::kUnbounded, true, {0x00, 0x00, 0x00}, 6}));
 
 TEST(NeighborSharingTest, IdenticalDatasetsShareEverything) {
   Rng rng(37);
